@@ -113,16 +113,16 @@ def surviving_oracle(relation, query, surviving_tids):
 
 def fail_shard(engine, bad_index: int) -> None:
     """Make every leg to one shard raise, leaving the others honest."""
-    original = engine._shard_execute
+    original = engine._shard_execute_many
 
-    def failing(shard, query, leg, deadline=None):
+    def failing(shard, leg_queries, leg, deadline=None):
         if shard.index == bad_index:
             raise ShardWorkerError(
                 f"shard {shard.index} worker process died (exit code -9)",
                 shard_index=shard.index)
-        return original(shard, query, leg, deadline=deadline)
+        return original(shard, leg_queries, leg, deadline=deadline)
 
-    engine._shard_execute = failing
+    engine._shard_execute_many = failing
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -48,16 +48,16 @@ def build_engine(relation, range_dim="A1", **fault_kwargs):
 
 def fail_shard(engine, bad_index):
     """Simulate a shard that stays down (every leg to it raises)."""
-    original = engine._shard_execute
+    original = engine._shard_execute_many
 
-    def failing(shard, query, leg, deadline=None):
+    def failing(shard, leg_queries, leg, deadline=None):
         if shard.index == bad_index:
             raise ShardWorkerError(
                 f"shard {shard.index} worker process died (exit code -9)",
                 shard_index=shard.index)
-        return original(shard, query, leg, deadline=deadline)
+        return original(shard, leg_queries, leg, deadline=deadline)
 
-    engine._shard_execute = failing
+    engine._shard_execute_many = failing
 
 
 async def main() -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -117,21 +117,22 @@ def find_start_block(grid: GridPartition, function: RankingFunction) -> int:
     return grid.bid_of_point(point)
 
 
-class _FusedQueryState:
-    """Book-keeping of one query inside a fused frontier sweep."""
+class _SweepMember:
+    """Book-keeping of one query inside a frontier sweep."""
 
-    __slots__ = ("provider", "topk", "live", "blocks", "tuples", "charged",
-                 "peak")
+    __slots__ = ("provider", "topk", "on_progress", "emitted", "live",
+                 "blocks", "tuples", "charged", "peak")
 
-    def __init__(self, provider: CellProvider, k: int) -> None:
+    def __init__(self, provider: CellProvider, k: int, on_progress) -> None:
         self.provider = provider
         self.topk = TopKAccumulator(k)
+        self.on_progress = on_progress
+        #: Ranks already streamed through ``on_progress``.
+        self.emitted = 0
         self.live = True
-        #: Blocks examined while live — what a solo run of this query would
-        #: report as ``states_generated``.
+        #: Blocks examined while live — the query's ``states_generated``.
         self.blocks = 0
-        #: Tuples this query consumed (fed to its accumulator) — the solo
-        #: ``tuples_evaluated``.
+        #: Tuples this query consumed (fed to its accumulator).
         self.tuples = 0
         #: Unique scoring work attributed to this query: each tuple scored
         #: by the sweep is charged to exactly one consumer, so the group's
@@ -139,9 +140,23 @@ class _FusedQueryState:
         self.charged = 0
         self.peak = 0
 
+    def stream(self, bound: float) -> None:
+        """Emit the ranks that ``bound`` proves final and not yet emitted.
+
+        Every unseen tuple scores at least ``bound`` (the frontier
+        minimum), so accumulator entries strictly below it are a final
+        prefix of the answer (see :meth:`TopKAccumulator.verified_count`).
+        """
+        if len(self.topk) > self.emitted:
+            verified = self.topk.verified_count(bound)
+            if verified > self.emitted:
+                self.on_progress(self.emitted,
+                                 self.topk.ranked()[self.emitted:verified])
+                self.emitted = verified
+
 
 class GridTopKExecutor:
-    """Runs one top-k query against a grid ranking cube.
+    """Runs top-k queries against a grid ranking cube.
 
     ``bound_cache`` is an optional per-(function, block) lower-bound cache
     (duck-typed: anything with ``lower_bound(grid, function, bid)``, see
@@ -161,137 +176,45 @@ class GridTopKExecutor:
             return self.bound_cache.lower_bound(self.grid, function, bid)
         return function.lower_bound(self.grid.block_box(bid))
 
-    def execute(self, provider: CellProvider, function: RankingFunction, k: int,
-                on_progress=None) -> QueryResult:
-        """Execute the neighborhood-search algorithm of Section 3.3.2.
-
-        ``on_progress`` (optional) streams verified top-k prefixes while
-        the sweep runs: whenever the frontier minimum rises above more of
-        the accumulator, the newly finalized ranks are emitted as
-        ``on_progress(start_rank, [(tid, score), ...])`` — those entries
-        are bit-identical to the same positions of the final answer (see
-        :meth:`TopKAccumulator.verified_count`).  The callback runs on
-        the sweep's thread and must be cheap; ``None`` (the default) adds
-        zero work to the hot loop.
-        """
-        for dim in function.dims:
-            if dim not in self.grid.dims:
-                raise QueryError(
-                    f"ranking dimension {dim!r} is not covered by the grid partition")
-        start_time = time.perf_counter()
-        provider.reset()
-        pagers = {
-            id(self.block_table.pager): self.block_table.pager,
-        }
-        cuboid_pagers = getattr(provider, "providers", [provider])
-        for sub in cuboid_pagers:
-            cuboid = getattr(sub, "cuboid", None)
-            if cuboid is not None:
-                pagers[id(cuboid.pager)] = cuboid.pager
-        io_before = {key: p.stats.physical_reads for key, p in pagers.items()}
-
-        topk = TopKAccumulator(k)
-        start_bid = find_start_block(self.grid, function)
-        frontier: List[Tuple[float, int]] = []
-        inserted: Set[int] = set()
-        blocks_examined = 0
-        peak_frontier = 0
-        tuples_evaluated = 0
-        dim_index = [self.grid.dims.index(d) for d in function.dims]
-        whole_grid = dim_index == list(range(len(self.grid.dims)))
-
-        heapq.heappush(frontier, (self._block_bound(function, start_bid), start_bid))
-        inserted.add(start_bid)
-        emitted = 0
-
-        while frontier:
-            peak_frontier = max(peak_frontier, len(frontier))
-            unseen_score, bid = frontier[0]
-            if on_progress is not None and len(topk) > emitted:
-                # Every unseen tuple scores >= the frontier minimum (the
-                # halt test's invariant), so ranks below it are final —
-                # stream the ones not yet emitted.
-                verified = topk.verified_count(unseen_score)
-                if verified > emitted:
-                    on_progress(emitted, topk.ranked()[emitted:verified])
-                    emitted = verified
-            # Strict halt: a block whose bound *equals* the k-th score may
-            # still hold a tied tuple with a smaller tid, which the
-            # canonical (score, tid) order must admit — only provably worse
-            # blocks are pruned.
-            if topk.is_full() and topk.kth_score < unseen_score:
-                break
-            heapq.heappop(frontier)
-            blocks_examined += 1
-
-            tids = provider.tids_in_block(bid)
-            if tids:
-                block_tids, block_values = self.block_table.block_arrays(bid)
-                if len(tids) == len(block_tids) and np.array_equal(tids, block_tids):
-                    # Unfiltered block: every row qualifies, in page order.
-                    kept = tids
-                    selected = block_values
-                else:
-                    row_of = self.block_table.block_row_index(bid)
-                    kept = [tid for tid in tids if tid in row_of]
-                    selected = block_values[[row_of[tid] for tid in kept]]
-                if kept:
-                    if not whole_grid:
-                        selected = selected[:, dim_index]
-                    scores = function.evaluate_batch(selected)
-                    for tid, score in zip(kept, scores):
-                        topk.offer(tid, float(score))
-                    tuples_evaluated += len(kept)
-
-            for neighbor in self.grid.neighbors(bid):
-                if neighbor in inserted:
-                    continue
-                inserted.add(neighbor)
-                bound = self._block_bound(function, neighbor)
-                heapq.heappush(frontier, (bound, neighbor))
-
-        elapsed = time.perf_counter() - start_time
-        disk = sum(
-            p.stats.physical_reads - io_before[key] for key, p in pagers.items()
-        )
-        ranked = topk.ranked()
-        return QueryResult(
-            tids=tuple(tid for tid, _ in ranked),
-            scores=tuple(score for _, score in ranked),
-            disk_accesses=disk,
-            states_generated=blocks_examined,
-            peak_heap_size=peak_frontier,
-            tuples_evaluated=tuples_evaluated,
-            elapsed_seconds=elapsed,
-        )
-
     def execute_fused(self, function: RankingFunction,
-                      requests: Sequence[Tuple[CellProvider, int]],
+                      requests: Sequence[Tuple[CellProvider, int,
+                                               Optional[Callable]]],
                       ) -> List[QueryResult]:
-        """One frontier sweep answering a whole group of same-function queries.
+        """Neighborhood search (Section 3.3.2) for a group of queries.
 
-        ``requests`` pairs each query's cell provider with its ``k``; every
-        query must rank by ``function`` (the engine groups batches by the
-        function's canonical value key, so value-equal function objects
-        share one sweep).  The frontier's evolution — which blocks are
-        popped and expanded, in which order — depends only on the function
-        and the grid geometry, never on a predicate or ``k``, so a solo run
-        of any query is exactly a prefix of this shared sweep.  Each query
-        keeps its own accumulator and *retires* at the same frontier state
-        where its solo run would halt (k-th score strictly beats the best
-        unseen bound); each popped block's union of needed tuples is scored
-        once with :meth:`~repro.functions.base.RankingFunction.evaluate_batch`
-        and fed to every live accumulator that asked for them.  Answers are
-        bit-identical to the per-query loop; the shared scoring work is the
-        saving.
+        ``requests`` holds one ``(provider, k, on_progress)`` triple per
+        query; every query ranks by ``function`` (the engine groups batches
+        by the function's canonical value key, so value-equal function
+        objects share one sweep).  A single query is a group of one.
 
-        Per-result accounting: ``tuples_evaluated`` is each query's
+        The frontier starts at the block holding the function's minimizer
+        and pops blocks in increasing lower-bound order, pushing each
+        popped block's grid neighbors (Lemma 1).  Its evolution — which
+        blocks are popped, in which order — depends only on the function
+        and the grid geometry, never on a predicate or ``k``, so each
+        query's own run is a prefix of this shared sweep.  Each query keeps
+        its own accumulator and *retires* at the frontier state where its
+        k-th score strictly beats the best unseen bound (``S_k <
+        S_unseen``; a block whose bound ties ``S_k`` may still hold a tied
+        tuple with a smaller tid, which the canonical ``(score, tid)``
+        order must admit).  Each popped block's union of needed tuples is
+        scored once with
+        :meth:`~repro.functions.base.RankingFunction.evaluate_batch` and
+        fed to every live accumulator that asked for them.
+
+        ``on_progress`` (``None`` for no streaming) receives verified
+        top-k prefixes while the sweep runs, as ``on_progress(start_rank,
+        [(tid, score), ...])`` — entries bit-identical to the same
+        positions of the final answer.  It runs on the sweep's thread and
+        must be cheap.
+
+        Per-result accounting: ``states_generated`` / ``peak_heap_size``
+        are what the query alone would report; ``tuples_evaluated`` is its
         *attributed* share of the unique scoring work (a tuple scored once
-        for three queries is charged to exactly one of them), so summing
-        the group's results counts shared work once.  The solo-equivalent
-        consumption lands in ``extra["tuples_evaluated"]``;
-        ``states_generated`` / ``peak_heap_size`` stay solo-equivalent, and
-        the sweep's disk accesses are attributed to the first result.
+        for three queries is charged to exactly one of them), so summing a
+        group counts shared work once, and the query's own consumption
+        lands in ``extra["tuples_evaluated"]`` (the two agree for a group
+        of one).  The sweep's disk accesses go to the first result.
         """
         for dim in function.dims:
             if dim not in self.grid.dims:
@@ -301,20 +224,22 @@ class GridTopKExecutor:
         pagers = {
             id(self.block_table.pager): self.block_table.pager,
         }
-        states: List[_FusedQueryState] = []
-        for provider, k in requests:
+        members: List[_SweepMember] = []
+        for provider, k, on_progress in requests:
             provider.reset()
             for sub in getattr(provider, "providers", [provider]):
                 cuboid = getattr(sub, "cuboid", None)
                 if cuboid is not None:
                     pagers[id(cuboid.pager)] = cuboid.pager
-            states.append(_FusedQueryState(provider, k))
+            members.append(_SweepMember(provider, k, on_progress))
+        streaming = [member for member in members
+                     if member.on_progress is not None]
         io_before = {key: p.stats.physical_reads for key, p in pagers.items()}
 
         start_bid = find_start_block(self.grid, function)
         frontier: List[Tuple[float, int]] = []
         inserted: Set[int] = {start_bid}
-        live = len(states)
+        live = len(members)
         peak_frontier = 0
         dim_index = [self.grid.dims.index(d) for d in function.dims]
         whole_grid = dim_index == list(range(len(self.grid.dims)))
@@ -324,71 +249,57 @@ class GridTopKExecutor:
         while frontier and live:
             peak_frontier = max(peak_frontier, len(frontier))
             unseen_score, bid = frontier[0]
-            for state in states:
-                # Same strict halt as the solo loop, checked at the same
-                # frontier state — only the retirement is per query.
-                if (state.live and state.topk.is_full()
-                        and state.topk.kth_score < unseen_score):
-                    state.live = False
-                    state.peak = peak_frontier
+            for member in streaming:
+                if member.live:
+                    member.stream(unseen_score)
+            for member in members:
+                if (member.live and member.topk.is_full()
+                        and member.topk.kth_score < unseen_score):
+                    member.live = False
+                    member.peak = peak_frontier
                     live -= 1
             if not live:
                 break
             heapq.heappop(frontier)
 
-            needs: List[Tuple[_FusedQueryState, List[int]]] = []
-            for state in states:
-                if not state.live:
+            needs: List[Tuple[_SweepMember, List[int]]] = []
+            for member in members:
+                if not member.live:
                     continue
-                state.blocks += 1
-                tids = state.provider.tids_in_block(bid)
+                member.blocks += 1
+                tids = member.provider.tids_in_block(bid)
                 if tids:
-                    needs.append((state, tids))
+                    needs.append((member, tids))
             if needs:
                 block_tids, block_values = self.block_table.block_arrays(bid)
-                row_of = self.block_table.block_row_index(bid)
                 if len(needs) == 1:
                     union = needs[0][1]
                 else:
                     seen: Set[int] = set()
                     union = [tid for _, tids in needs for tid in tids
                              if not (tid in seen or seen.add(tid))]
-                kept = [tid for tid in union if tid in row_of]
-                score_of: Dict[int, float] = {}
+                if len(union) == len(block_tids) and np.array_equal(union, block_tids):
+                    # Unfiltered block: every row is needed, in page order.
+                    kept = union
+                    selected = block_values
+                else:
+                    row_of = self.block_table.block_row_index(bid)
+                    kept = [tid for tid in union if tid in row_of]
+                    selected = block_values[[row_of[tid] for tid in kept]]
                 if kept:
-                    if (len(kept) == len(block_tids)
-                            and np.array_equal(kept, block_tids)):
-                        selected = block_values
-                    else:
-                        selected = block_values[[row_of[tid] for tid in kept]]
                     if not whole_grid:
                         selected = selected[:, dim_index]
-                    scores = function.evaluate_batch(selected)
+                    scores = function.evaluate_batch(selected).tolist()
                     if len(needs) == 1:
-                        # Single consumer: feed the accumulator directly,
-                        # exactly like the solo loop — no per-tuple dict.
-                        state = needs[0][0]
+                        # Single consumer: feed the accumulator directly.
+                        member = needs[0][0]
+                        offer = member.topk.offer
                         for tid, score in zip(kept, scores):
-                            state.topk.offer(tid, float(score))
-                        state.tuples += len(kept)
-                        state.charged += len(kept)
+                            offer(tid, score)
+                        member.tuples += len(kept)
+                        member.charged += len(kept)
                     else:
-                        score_of = {tid: float(score)
-                                    for tid, score in zip(kept, scores)}
-                if score_of:
-                    charged: Set[int] = set()
-                    for state, tids in needs:
-                        consumed = 0
-                        for tid in tids:
-                            score = score_of.get(tid)
-                            if score is None:
-                                continue
-                            state.topk.offer(tid, score)
-                            consumed += 1
-                            if tid not in charged:
-                                charged.add(tid)
-                                state.charged += 1
-                        state.tuples += consumed
+                        self._feed_shared(needs, dict(zip(kept, scores)))
 
             for neighbor in self.grid.neighbors(bid):
                 if neighbor in inserted:
@@ -402,18 +313,36 @@ class GridTopKExecutor:
             p.stats.physical_reads - io_before[key] for key, p in pagers.items()
         )
         results: List[QueryResult] = []
-        for position, state in enumerate(states):
-            if state.live:
-                state.peak = peak_frontier
-            ranked = state.topk.ranked()
+        for position, member in enumerate(members):
+            if member.live:
+                member.peak = peak_frontier
+            ranked = member.topk.ranked()
             results.append(QueryResult(
                 tids=tuple(tid for tid, _ in ranked),
                 scores=tuple(score for _, score in ranked),
                 disk_accesses=disk if position == 0 else 0,
-                states_generated=state.blocks,
-                peak_heap_size=state.peak,
-                tuples_evaluated=state.charged,
+                states_generated=member.blocks,
+                peak_heap_size=member.peak,
+                tuples_evaluated=member.charged,
                 elapsed_seconds=elapsed,
-                extra={"tuples_evaluated": float(state.tuples)},
+                extra={"tuples_evaluated": float(member.tuples)},
             ))
         return results
+
+    @staticmethod
+    def _feed_shared(needs: List[Tuple[_SweepMember, List[int]]],
+                     score_of: Dict[int, float]) -> None:
+        """Feed one block's shared scores to every member that needs them."""
+        charged: Set[int] = set()
+        for member, tids in needs:
+            consumed = 0
+            for tid in tids:
+                score = score_of.get(tid)
+                if score is None:
+                    continue
+                member.topk.offer(tid, score)
+                consumed += 1
+                if tid not in charged:
+                    charged.add(tid)
+                    member.charged += 1
+            member.tuples += consumed

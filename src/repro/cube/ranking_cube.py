@@ -147,18 +147,16 @@ class RankingCube:
     def query(self, query: TopKQuery, on_progress=None) -> QueryResult:
         """Answer one top-k query using the materialized cube.
 
-        ``on_progress`` streams verified top-k prefixes during the sweep
-        (see :meth:`~repro.cube.query.GridTopKExecutor.execute`); the
+        A fused sweep of one (see :meth:`query_batch`).  ``on_progress``
+        streams verified top-k prefixes during the sweep (see
+        :meth:`~repro.cube.query.GridTopKExecutor.execute_fused`); the
         returned result is identical with or without it.
         """
-        query.validate(self.relation)
-        provider, chosen = self.plan_for(query.predicate)
-        result = self._executor.execute(provider, query.function, query.k,
-                                        on_progress=on_progress)
-        result.extra["covering_cuboids"] = float(len(chosen) if chosen else 1)
-        return result
+        return self.query_batch([query], [on_progress])[0]
 
-    def query_batch(self, queries: Sequence[TopKQuery]) -> List[QueryResult]:
+    def query_batch(self, queries: Sequence[TopKQuery],
+                    on_progress: Optional[Sequence] = None,
+                    ) -> List[QueryResult]:
         """Answer a same-function batch of top-k queries with one fused sweep.
 
         Every query must rank by the same function (by value — the engine
@@ -167,17 +165,21 @@ class RankingCube:
         serves the whole group (see
         :meth:`~repro.cube.query.GridTopKExecutor.execute_fused`), scoring
         each block's tuples once instead of once per query.  Results are
-        bit-identical to running :meth:`query` per entry.
+        bit-identical to answering each query alone.  ``on_progress``
+        optionally aligns one streaming callback (or ``None``) with each
+        query.
         """
         queries = list(queries)
         if not queries:
             return []
+        callbacks = (list(on_progress) if on_progress is not None
+                     else [None] * len(queries))
         requests = []
         chosen_counts = []
-        for query in queries:
+        for query, callback in zip(queries, callbacks):
             query.validate(self.relation)
             provider, chosen = self.plan_for(query.predicate)
-            requests.append((provider, query.k))
+            requests.append((provider, query.k, callback))
             chosen_counts.append(len(chosen) if chosen else 1)
         results = self._executor.execute_fused(queries[0].function, requests)
         for result, covering in zip(results, chosen_counts):

@@ -28,7 +28,11 @@ def _function_valid(function, relation: Relation) -> bool:
 
 
 class RankingCubeBackend(Backend):
-    """Grid ranking cube (Chapter 3) — also serves the fragments variant."""
+    """Grid ranking cube (Chapter 3) — also serves the fragments variant.
+
+    The only streaming backend: :meth:`execute_batch` forwards each
+    member's ``on_progress`` into the cube's frontier sweep.
+    """
 
     kind = KIND_TOPK
     supports_fusion = True
@@ -78,18 +82,9 @@ class RankingCubeBackend(Backend):
     def run(self, query):
         return self.cube.query(query)
 
-    def run_stream(self, query, on_progress):
-        """Streaming run: verified prefixes emitted mid-sweep.
-
-        Same answer as :meth:`run`; ``on_progress(start_rank, pairs)``
-        additionally fires as accumulator ranks become provably final
-        (see :meth:`repro.cube.query.GridTopKExecutor.execute`).
-        """
-        return self.cube.query(query, on_progress=on_progress)
-
-    def execute_batch(self, queries) -> List:
-        """Fused path: one frontier sweep serves the whole group."""
-        return self.cube.query_batch(list(queries))
+    def execute_batch(self, queries, on_progress=None) -> List:
+        """One frontier sweep serves the whole group; streams per member."""
+        return self.cube.query_batch(list(queries), on_progress)
 
 
 class SignatureCubeBackend(Backend):
@@ -136,8 +131,8 @@ class SignatureCubeBackend(Backend):
     def run(self, query):
         return self.executor.query(query)
 
-    def execute_batch(self, queries) -> List:
-        """Fused path: one root-to-leaf traversal serves the whole group."""
+    def execute_batch(self, queries, on_progress=None) -> List:
+        """One root-to-leaf traversal serves the whole group."""
         return self.executor.query_batch(list(queries))
 
 

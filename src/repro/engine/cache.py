@@ -186,10 +186,11 @@ def query_cache_key(query) -> Optional[Tuple[object, ...]]:
     return None
 
 
-def partition_batch(queries, scope: int, cache: "ResultCache"):
+def partition_batch(queries, scope: int, cache: "Optional[ResultCache]"):
     """Split a batch into served cache hits, deduplicated units, and repeats.
 
-    Shared by the engine and scatter/gather ``execute_many`` front doors.
+    Shared by the engine and scatter/gather front doors.  ``cache=None``
+    bypasses the result cache: every query becomes an unkeyed unit.
     Returns ``(results, units, unit_index, followers)``:
 
     * ``results`` — one slot per query, pre-filled with the cache hits
@@ -207,7 +208,7 @@ def partition_batch(queries, scope: int, cache: "ResultCache"):
     unit_index = {}
     followers = []
     for i, query in enumerate(queries):
-        key = query_cache_key(query)
+        key = query_cache_key(query) if cache is not None else None
         if key is not None:
             key = (scope,) + key
             hit = cache.lookup(key)

@@ -132,12 +132,14 @@ class Executor:
                 on_progress=None):
         """Plan ``query``, run it on the chosen backend, annotate the result.
 
-        ``on_progress`` opts into streaming: backends exposing a
-        ``run_stream`` (the grid ranking cube) emit verified top-k
-        prefixes as ``on_progress(start_rank, [(tid, score), ...])``
-        while the sweep runs; other backends — and result-cache hits —
-        simply return the final answer without intermediate calls.  The
-        returned result is identical either way.
+        The query runs as a batch of one (see :meth:`execute_many`), so its
+        result carries the same annotations as a batch member's.
+
+        ``on_progress`` opts into streaming: the grid ranking cube emits
+        verified top-k prefixes as ``on_progress(start_rank, [(tid,
+        score), ...])`` while its sweep runs; other backends — and
+        result-cache hits — simply return the final answer without
+        intermediate calls.  The returned result is identical either way.
 
         Results of cacheable queries (top-k and skyline) are memoized in
         :attr:`result_cache` under their canonical query key; a repeat of
@@ -160,34 +162,9 @@ class Executor:
         started = time.perf_counter()
         self._m_queries.inc()
         try:
-            if self._watched_mutated():
-                self.result_cache.invalidate()
-                self.statistics.invalidate()
-            key = query_cache_key(query) if use_result_cache else None
-            if key is not None:
-                key = (self._cache_scope,) + key
-                hit = self.result_cache.lookup(key)
-                if hit is not None:
-                    span.set("result_cache", "hit")
-                    return hit
-            plan = self._plan_traced(query, span)
-            backend = self.registry.get(plan.backend)
-            run_span = span.child("engine.run").set("backend", plan.backend)
-            run_stream = (getattr(backend, "run_stream", None)
-                          if on_progress is not None else None)
-            if run_stream is not None:
-                result = run_stream(query, on_progress)
-            else:
-                result = backend.run(query)
-            actual = float(getattr(result, "tuples_evaluated", 0))
-            run_span.set("tuples_evaluated", actual).finish()
-            self._m_tuples.inc(actual)
-            self._record_cost_feedback(plan, actual)
-            result.extra["backend"] = plan.backend
-            result.extra["plan"] = plan.describe()
-            if key is not None:
-                self.result_cache.store(key, result)
-            return result
+            progress = [on_progress] if on_progress is not None else None
+            return self._run_batch([query], span, use_result_cache,
+                                   progress)[0]
         finally:
             self._m_latency.observe(time.perf_counter() - started)
             span.finish()
@@ -250,24 +227,24 @@ class Executor:
         execute once and hit the cache afterwards, so each distinct logical
         query is planned exactly once per batch.  The remaining misses are
         grouped by ``(chosen backend, canonical ranking-function key)`` and
-        each group of two or more is handed to the backend's
-        :meth:`~repro.engine.registry.Backend.execute_batch` — fusion-aware
-        backends (grid and signature cubes) answer the whole group with one
-        frontier sweep / tree traversal, scoring shared tuples once;
-        everything else falls back to the per-query loop.  Answers are
-        bit-identical to looping :meth:`execute` either way.
+        every group — a lone query is a group of one — is handed to the
+        backend's :meth:`~repro.engine.registry.Backend.execute_batch`:
+        fusion-aware backends (grid and signature cubes) answer the whole
+        group with one frontier sweep / tree traversal, scoring shared
+        tuples once; everything else falls back to the per-query loop.
+        Answers are bit-identical to looping :meth:`execute` either way.
 
-        Every batch-executed result records ``fused_group_size``, the
-        batch's ``plans_reused``, and its solo-equivalent
-        ``tuples_evaluated`` in ``extra``; the ``tuples_evaluated`` *field*
-        of fused results is the query's attributed share of the shared
-        work, so summing a batch never double-counts a tuple the sweep
-        scored once.
+        Every result records ``fused_group_size``, the batch's
+        ``plans_reused``, and its solo-equivalent ``tuples_evaluated`` in
+        ``extra``; the ``tuples_evaluated`` *field* of fused results is the
+        query's attributed share of the shared work, so summing a batch
+        never double-counts a tuple the sweep scored once.
 
         ``parent_span`` threads an enabled trace through exactly as in
         :meth:`execute`; the batch's tree gains ``engine.plan`` children
         per planned unit and one ``engine.fused_sweep`` (with
-        ``attributed_shares``) or ``engine.run`` child per group.
+        ``attributed_shares``), ``engine.run_batch`` (a group the backend
+        cannot fuse) or ``engine.run`` (a group of one) child per group.
         """
         queries = list(queries)
         if not queries:
@@ -281,99 +258,104 @@ class Executor:
         try:
             if span:
                 span.set("batch_size", len(queries))
-            if self._watched_mutated():
-                self.result_cache.invalidate()
-                self.statistics.invalidate()
-            results, units, unit_index, followers = partition_batch(
-                queries, self._cache_scope, self.result_cache)
-
-            plans = [self._plan_traced(query, span)
-                     for _, query, _ in units]
-            groups: Dict[tuple, List[int]] = {}
-            for position, (_, query, _) in enumerate(units):
-                if isinstance(query, TopKQuery):
-                    group_key = (plans[position].backend,
-                                 function_fuse_key(query.function))
-                else:
-                    group_key = ("ungrouped", position)
-                groups.setdefault(group_key, []).append(position)
-
-            for members in groups.values():
-                backend = self.registry.get(plans[members[0]].backend)
-                if len(members) > 1:
-                    if backend.supports_fusion:
-                        group_span = (span.child("engine.fused_sweep")
-                                      .set("backend", backend.name)
-                                      .set("group_size", len(members)))
-                    else:
-                        group_span = (span.child("engine.run_batch")
-                                      .set("backend", backend.name))
-                    group_results = backend.execute_batch(
-                        [units[position][1] for position in members])
-                    if backend.supports_fusion:
-                        self.fused_groups += 1
-                        self.fused_queries += len(members)
-                        fused_size = len(members)
-                        if group_span:
-                            # The per-member shares of the one shared
-                            # sweep: summing them never double-counts a
-                            # tuple the sweep scored once.
-                            shares = [float(getattr(r, "tuples_evaluated", 0))
-                                      for r in group_results]
-                            group_span.set("tuples_evaluated", sum(shares))
-                            group_span.set("attributed_shares",
-                                           tuple(shares))
-                    else:
-                        # The default execute_batch is a per-query loop: no
-                        # work was shared, so do not report a fused group.
-                        fused_size = 1
-                        if group_span:
-                            group_span.set("tuples_evaluated", sum(
-                                float(getattr(r, "tuples_evaluated", 0))
-                                for r in group_results))
-                    group_span.finish()
-                else:
-                    backend_name = plans[members[0]].backend
-                    run_span = (span.child("engine.run")
-                                .set("backend", backend_name))
-                    group_results = [backend.run(units[members[0]][1])]
-                    run_span.set("tuples_evaluated", float(getattr(
-                        group_results[0], "tuples_evaluated", 0))).finish()
-                    fused_size = 1
-                for position, result in zip(members, group_results):
-                    i, _, key = units[position]
-                    self._finish_batch_result(result, plans[position], key,
-                                              fused_size)
-                    results[i] = result
-
-            batch_plans_reused = 0
-            for i, query, key in followers:
-                hit = self.result_cache.lookup(key)
-                if hit is None:
-                    # A cache that refuses to retain results (or evicted
-                    # the entry already): mirror the looped path — reuse
-                    # the hoisted plan and re-execute.
-                    self.plans_reused += 1
-                    batch_plans_reused += 1
-                    plan = plans[unit_index[key]]
-                    run_span = (span.child("engine.run")
-                                .set("backend", plan.backend))
-                    hit = self.registry.get(plan.backend).run(query)
-                    run_span.set("tuples_evaluated", float(getattr(
-                        hit, "tuples_evaluated", 0))).finish()
-                    self._finish_batch_result(hit, plan, key, 1)
-                results[i] = hit
-
-            for result in results:
-                result.extra["plans_reused"] = float(batch_plans_reused)
-            return results
+            return self._run_batch(queries, span)
         finally:
             self._m_latency.observe(time.perf_counter() - started)
             span.finish()
 
-    def _finish_batch_result(self, result, plan: QueryPlan,
-                             key: Optional[tuple], group_size: int) -> None:
-        """Annotate and cache one batch-executed result."""
+    def _run_batch(self, queries: List, span, use_result_cache: bool = True,
+                   progress: Optional[List] = None) -> List:
+        """The one execution body behind :meth:`execute` and
+        :meth:`execute_many`: cache, plan, group, run, annotate.
+
+        ``progress`` optionally aligns one streaming callback (or ``None``)
+        with each query.
+        """
+        if self._watched_mutated():
+            self.result_cache.invalidate()
+            self.statistics.invalidate()
+        results, units, unit_index, followers = partition_batch(
+            queries, self._cache_scope,
+            self.result_cache if use_result_cache else None)
+        if not units and not followers:
+            span.set("result_cache", "hit")
+
+        plans = [self._plan_traced(query, span) for _, query, _ in units]
+        groups: Dict[tuple, List[int]] = {}
+        for position, (_, query, _) in enumerate(units):
+            # A lone unit needs no (costly, canonical) fuse key.
+            if isinstance(query, TopKQuery) and len(units) > 1:
+                group_key = (plans[position].backend,
+                             function_fuse_key(query.function))
+            else:
+                group_key = ("ungrouped", position)
+            groups.setdefault(group_key, []).append(position)
+        for members in groups.values():
+            group = [units[position] for position in members]
+            group_results = self._run_group(
+                [plans[position] for position in members], group, span,
+                [progress[i] for i, _, _ in group] if progress else None)
+            for (i, _, _), result in zip(group, group_results):
+                results[i] = result
+
+        batch_plans_reused = 0
+        for i, query, key in followers:
+            hit = self.result_cache.lookup(key)
+            if hit is None:
+                # A cache that refuses to retain results (or evicted the
+                # entry already): reuse the hoisted plan and re-execute.
+                self.plans_reused += 1
+                batch_plans_reused += 1
+                hit = self._run_group([plans[unit_index[key]]],
+                                      [(i, query, key)], span)[0]
+            results[i] = hit
+
+        for result in results:
+            result.extra["plans_reused"] = float(batch_plans_reused)
+        return results
+
+    def _run_group(self, plans: List[QueryPlan], group: List[tuple], span,
+                   progress: Optional[List] = None) -> List:
+        """Run one planned same-backend group through ``execute_batch``.
+
+        ``group`` holds ``(submission index, query, scoped key)`` units.
+        The work span is ``engine.run`` for a group of one,
+        ``engine.fused_sweep`` for a fused group, and ``engine.run_batch``
+        when the backend cannot fuse (its default ``execute_batch`` is a
+        per-query loop, so no fused group is reported).
+        """
+        backend = self.registry.get(plans[0].backend)
+        fused = len(group) > 1 and backend.supports_fusion
+        if len(group) == 1:
+            group_span = span.child("engine.run")
+        elif fused:
+            group_span = (span.child("engine.fused_sweep")
+                          .set("group_size", len(group)))
+        else:
+            group_span = span.child("engine.run_batch")
+        group_span.set("backend", backend.name)
+        group_results = backend.execute_batch(
+            [query for _, query, _ in group], on_progress=progress)
+        if group_span:
+            shares = [float(getattr(r, "tuples_evaluated", 0))
+                      for r in group_results]
+            group_span.set("tuples_evaluated", sum(shares))
+            if fused:
+                # The per-member shares of the one shared sweep: summing
+                # them never double-counts a tuple the sweep scored once.
+                group_span.set("attributed_shares", tuple(shares))
+        group_span.finish()
+        if fused:
+            self.fused_groups += 1
+            self.fused_queries += len(group)
+        fused_size = len(group) if fused else 1
+        for plan, (_, _, key), result in zip(plans, group, group_results):
+            self._finish_result(result, plan, key, fused_size)
+        return group_results
+
+    def _finish_result(self, result, plan: QueryPlan,
+                       key: Optional[tuple], group_size: int) -> None:
+        """Annotate and cache one executed result."""
         result.extra["backend"] = plan.backend
         result.extra["plan"] = plan.describe()
         result.extra["fused_group_size"] = float(group_size)

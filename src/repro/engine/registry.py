@@ -62,14 +62,19 @@ class Backend(ABC):
     def run(self, query):
         """Execute ``query`` and return its result object."""
 
-    def execute_batch(self, queries) -> List:
+    def execute_batch(self, queries, on_progress=None) -> List:
         """Answer a group of queries sharing one ranking function (by value).
 
         The executor groups each batch by (backend, canonical function key)
-        after planning and hands every group here.  Backends that can share
-        work across the group override this with a fused implementation and
-        set :attr:`supports_fusion`; this default is the per-query fallback,
+        after planning and hands every group here — a lone query as a
+        group of one.  Backends that can share work across the group
+        override this with a fused implementation and set
+        :attr:`supports_fusion`; this default is the per-query fallback,
         so non-batchable backends keep exact per-query semantics.
+
+        ``on_progress`` optionally aligns one streaming callback (or
+        ``None``) with each query; backends that cannot stream verified
+        prefixes ignore it and just return the final answers.
         """
         return [self.run(query) for query in queries]
 

@@ -51,14 +51,13 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.engine.cache import (
     ResultCache,
     function_fuse_key,
     new_cache_scope,
     partition_batch,
-    query_cache_key,
 )
 from repro.engine.cost import CostModel
 from repro.engine.plan import (
@@ -90,8 +89,8 @@ class _LegLedger:
     """Per-gathered-result record of leg attempts and final failures.
 
     One ledger backs one gathered :class:`~repro.query.QueryResult` —
-    the solo scatter keeps one, a fused group keeps one per rider (a
-    failed leg only taints the riders it carried).  Thread-safe because
+    a scattered group keeps one per rider (a failed leg only taints the
+    riders it carried).  Thread-safe because
     parallel legs of one scatter write concurrently.
     """
 
@@ -646,6 +645,9 @@ class ScatterGatherExecutor:
                 deadline=None, allow_partial=None):
         """Prune, scatter, execute per shard, and gather one merged result.
 
+        The query scatters as a group of one (see :meth:`execute_many`):
+        every leg is a shard ``execute_many`` carrying just this query.
+
         ``parent_span`` threads an enabled trace through: the tree gains
         a ``shard.execute`` span with one ``shard.leg`` child per
         consulted *and* per skipped shard (skipped legs carry their skip
@@ -669,71 +671,14 @@ class ScatterGatherExecutor:
         try:
             ctx = self._fault_context(deadline, allow_partial)
             self._check_deadline(ctx, "scatter")
-            key = query_cache_key(query) if use_result_cache else None
-            if key is not None:
-                key = (self._cache_scope,) + key
-                hit = self.result_cache.lookup(key)
-                if hit is not None:
-                    span.set("result_cache", "hit")
-                    return hit
-            return self._execute_miss(query, key, span, ctx)
+            results, errors = self._run_batch([query], span, ctx,
+                                              use_result_cache)
+            if errors:
+                raise errors[0]
+            return results[0]
         finally:
             self._m_latency.observe(time.perf_counter() - started)
             span.finish()
-
-    def _execute_miss(self, query, key, span=NULL_SPAN, ctx=None):
-        """The scatter/gather body of :meth:`execute` after a cache miss."""
-        start = time.perf_counter()
-        consulted, pruned = self._scatter_set(query)
-        self._m_pruned.inc(float(len(pruned)))
-        if span and pruned:
-            span.set("shards_pruned", tuple(pruned))
-        kind = kind_of(query)
-        planned_order = self._leg_order(query, consulted)
-        planned = len(consulted)
-        ledger = _LegLedger() if ctx is not None else None
-        skipped: Tuple[Tuple[int, str], ...] = ()
-        if (kind == KIND_TOPK and not self.parallel
-                and isinstance(query, TopKQuery) and len(consulted) > 1):
-            consulted, shard_results, skipped = self._run_shards_bounded(
-                planned_order, query, span, ctx, ledger)
-        else:
-            consulted, shard_results = self._run_shards(consulted, query,
-                                                        span, ctx, ledger)
-        if (ledger is not None and ledger.failed and not consulted
-                and planned):
-            # Every consulted shard failed: there is nothing to degrade
-            # to — even a partial call must fail rather than answer
-            # "empty" from zero evidence.
-            raise ledger.errors[-1]
-        gather_span = span.child("shard.gather")
-        if kind == KIND_TOPK:
-            result = self._gather_topk(query, consulted, shard_results)
-        else:
-            result = self._gather_skyline(query, consulted, shard_results)
-        gather_span.set("merged_rows", len(result.tids)).finish()
-        self._m_tuples.inc(float(getattr(result, "tuples_evaluated", 0)))
-        result.elapsed_seconds = time.perf_counter() - start
-        shard_backends = {
-            shard.index: str(res.extra.get("backend", "?"))
-            for shard, res in zip(consulted, shard_results)
-        }
-        result.extra["backend"] = "scatter-gather"
-        result.extra.update(
-            self._scatter_details(query, consulted, pruned, shard_backends,
-                                  skipped, order=planned_order))
-        result.extra["plan"] = (
-            f"scatter to {len(consulted)}/{self.manager.num_shards} shards "
-            f"[policy={result.extra['policy']} "
-            f"pruned={result.extra['shards_pruned']} "
-            f"skipped={result.extra['shards_skipped']} "
-            f"backends={result.extra['shard_backends']}]")
-        self._apply_fault_extra(result, ctx, ledger, planned)
-        if key is not None and (ledger is None or not ledger.failed):
-            # A degraded result is exact only over the surviving shards;
-            # caching it would keep serving the gap after recovery.
-            self.result_cache.store(key, result)
-        return result
 
     def execute_many(self, queries: Iterable, *, parent_span=None,
                      deadline=None, allow_partial=None) -> List:
@@ -741,27 +686,26 @@ class ScatterGatherExecutor:
 
         Results come back in submission order and bit-identical to looping
         :meth:`execute`.  Cached queries are served first; the remaining
-        top-k misses are grouped by canonical ranking-function key and each
-        group scatters as a unit: every shard consulted by at least one
+        top-k misses are grouped by canonical ranking-function key, and
+        each skyline forms a group of one.  Each group scatters as a unit
+        (see :meth:`_execute_group`): every shard consulted by at least one
         group member receives *one* leg carrying exactly the members whose
         statistics did not prune it (one thread-pool task per shard per
         batch when parallel), the shard runs its own fused
         ``execute_many``, and answers are gathered per query.  Sequential
-        scatters stay cost-ordered and bounded like the single-query path,
-        with one difference: legs follow one *group-level* cost order (see
-        :meth:`_group_leg_order`) rather than each member's solo order, so
-        a member's ``shards_skipped`` / work counters may differ from its
-        solo run even though the k-th-score skip bound is applied per query
-        and answers stay bit-identical.  Gathered results record
+        top-k scatters are cost-ordered and bounded, with legs following
+        one *group-level* cost order (see :meth:`_group_leg_order`), so a
+        fused member's ``shards_skipped`` / work counters may differ from
+        its solo run even though the k-th-score skip bound is applied per
+        query and answers stay bit-identical.  Gathered results record
         ``fused_group_size``, the legs' aggregated ``plans_reused``, and
         the solo-equivalent ``tuples_evaluated`` in ``extra``.
 
-        Failures are *contained*: a leg failure for one fused group (or
-        one single) fails only that group's queries — the rest of the
-        batch completes — and the batch raises
-        :class:`~repro.errors.PartialBatchError` carrying the completed
-        results aligned with the failed positions' exceptions.  A batch
-        with no failures returns plainly, exactly as before.
+        Failures are *contained*: a leg failure for one group fails only
+        that group's queries — the rest of the batch completes — and the
+        batch raises :class:`~repro.errors.PartialBatchError` carrying the
+        completed results aligned with the failed positions' exceptions.
+        A batch with no failures returns plainly.
         """
         queries = list(queries)
         if not queries:
@@ -777,52 +721,7 @@ class ScatterGatherExecutor:
             if span:
                 span.set("batch_size", len(queries))
             ctx = self._fault_context(deadline, allow_partial)
-            results, units, _, followers = partition_batch(
-                queries, self._cache_scope, self.result_cache)
-            errors: Dict[int, Exception] = {}
-
-            groups: Dict[tuple, List[int]] = {}
-            singles: List[int] = []
-            for position, (_, query, _) in enumerate(units):
-                if isinstance(query, TopKQuery):
-                    groups.setdefault(function_fuse_key(query.function),
-                                      []).append(position)
-                else:
-                    singles.append(position)
-            for members in groups.values():
-                if len(members) == 1:
-                    singles.append(members[0])
-                    continue
-                self.fused_groups += 1
-                self.fused_queries += len(members)
-                try:
-                    group_results = self._execute_group(
-                        [units[position] for position in members], span, ctx)
-                except (ShardWorkerError, DeadlineExceededError) as exc:
-                    for position in members:
-                        errors[units[position][0]] = exc
-                    continue
-                for position, result in zip(members, group_results):
-                    i = units[position][0]
-                    if isinstance(result, Exception):
-                        errors[i] = result
-                    else:
-                        results[i] = result
-            for position in sorted(singles):
-                i, query, key = units[position]
-                try:
-                    results[i] = self._run_single(query, key, span, ctx)
-                except (ShardWorkerError, DeadlineExceededError) as exc:
-                    errors[i] = exc
-            for i, query, key in followers:
-                hit = self.result_cache.lookup(key)
-                if hit is not None:
-                    results[i] = hit
-                    continue
-                try:
-                    results[i] = self._run_single(query, key, span, ctx)
-                except (ShardWorkerError, DeadlineExceededError) as exc:
-                    errors[i] = exc
+            results, errors = self._run_batch(queries, span, ctx)
             if errors:
                 raise PartialBatchError(results, errors)
             return results
@@ -830,60 +729,120 @@ class ScatterGatherExecutor:
             self._m_latency.observe(time.perf_counter() - started)
             span.finish()
 
-    def _run_single(self, query, key, span=NULL_SPAN, ctx=None):
-        """One ungrouped batch member under its own ``shard.execute`` span."""
-        single_span = (span.child("shard.execute") if span else NULL_SPAN)
-        try:
-            return self._execute_miss(query, key, single_span, ctx)
-        finally:
-            single_span.finish()
+    def _run_batch(self, queries: List, span, ctx: Optional[_FaultContext],
+                   use_result_cache: bool = True,
+                   ) -> Tuple[List, Dict[int, Exception]]:
+        """The one body behind :meth:`execute` and :meth:`execute_many`.
+
+        Serves cache hits, groups the misses (same-function top-k groups;
+        each skyline alone), scatters every group through
+        :meth:`_execute_group`, and resolves batch repeats.  Returns the
+        results (``None`` where a query failed) and the leg failures by
+        submission index.  A group of one in a multi-query batch gets its
+        own ``shard.execute`` span; a one-query call's span is already
+        that.
+        """
+        results, units, _, followers = partition_batch(
+            queries, self._cache_scope,
+            self.result_cache if use_result_cache else None)
+        if not units and not followers:
+            span.set("result_cache", "hit")
+        errors: Dict[int, Exception] = {}
+
+        def run(group) -> None:
+            solo_span = (span.child("shard.execute")
+                         if len(group) == 1 and len(queries) > 1 else span)
+            try:
+                out = self._execute_group(group, solo_span, ctx)
+            except (ShardWorkerError, DeadlineExceededError) as exc:
+                out = [exc] * len(group)
+            finally:
+                if solo_span is not span:
+                    solo_span.finish()
+            for (i, _, _), result in zip(group, out):
+                if isinstance(result, Exception):
+                    errors[i] = result
+                else:
+                    results[i] = result
+
+        groups: Dict[tuple, List[Tuple[int, object, Optional[tuple]]]] = {}
+        for position, unit in enumerate(units):
+            query = unit[1]
+            # A lone unit needs no (costly, canonical) fuse key.
+            group_key = (("topk", function_fuse_key(query.function))
+                         if isinstance(query, TopKQuery) and len(units) > 1
+                         else ("single", position))
+            groups.setdefault(group_key, []).append(unit)
+        for group in groups.values():
+            if len(group) > 1:
+                self.fused_groups += 1
+                self.fused_queries += len(group)
+            run(group)
+        for i, query, key in followers:
+            hit = self.result_cache.lookup(key)
+            if hit is not None:
+                results[i] = hit
+            else:
+                run([(i, query, key)])
+        return results, errors
 
     def _execute_group(self, group: List[Tuple[int, object, Optional[tuple]]],
-                       span=NULL_SPAN, ctx=None) -> List[QueryResult]:
-        """Scatter one same-function top-k group with one leg per shard.
+                       span=NULL_SPAN, ctx=None) -> List:
+        """Scatter one group with one leg per shard; gather per member.
 
-        Per-query prune decisions are taken exactly as in :meth:`execute`;
-        a shard's leg carries the union of group members that consulted it.
-        Sequential scatters walk the legs in cost order (lowest attainable
-        score floor over the group first) and apply the k-th-score skip
-        bound *per query*: a member whose gathered k-th score strictly
-        beats a shard's floor drops out of that leg (recorded in its
-        ``shards_skipped``), and a leg every member dropped never runs.
+        ``group`` holds ``(submission index, query, scoped key)`` units:
+        same-function top-k queries, or a single skyline.  Per-query prune
+        decisions come from each member's shard statistics; a shard's leg
+        carries the members that consulted it and runs the shard's own
+        ``execute_many``.  Sequential scatters walk the legs in cost order
+        (lowest attainable score floor over the group first) and apply the
+        k-th-score skip bound *per top-k query*: a member whose gathered
+        k-th score strictly beats a shard's floor drops out of that leg
+        (recorded in its ``shards_skipped``), and a leg every member
+        dropped never runs.  The k-th score only tightens as legs run, so
+        a skip decided against an early bound stays sound for the final
+        answer.  Skylines are never skipped.
 
-        Under an enabled trace the group gets one ``shard.fused_scatter``
-        span whose ``shard.leg`` children carry the rider indices; a
-        member skipped by the k-th-score bound shows up on the leg as a
-        ``skipped_q<i>`` attribute, and a leg every member dropped is
-        recorded with ``skipped="all riders"`` instead of running.
+        Under an enabled trace each leg is a ``shard.leg`` span carrying
+        its rider indices — directly under ``span`` for a group of one,
+        under one ``shard.fused_scatter`` span otherwise — and the gather
+        is a ``shard.gather`` child of ``span``.  A leg every member
+        dropped is recorded with ``skipped=<reason>`` (``"all riders"``
+        when several dropped) instead of running; in a fused group each
+        dropped member also shows as a ``skipped_q<i>`` attribute.
 
         Fault handling is per *rider*: a failed leg taints only the
         members it carried.  Under ``allow_partial`` those members
         degrade to the surviving legs' answer; a member whose every leg
         failed comes back as its exception *in the returned list* (the
-        caller maps it into :class:`~repro.errors.PartialBatchError`).
-        Strict mode re-raises the leg failure for the whole group.
+        caller maps it per batch position).  Strict mode re-raises the leg
+        failure for the whole group.
         """
         start = time.perf_counter()
         group_queries = [query for _, query, _ in group]
+        fused = len(group) > 1
         group_span = (span.child("shard.fused_scatter")
-                      .set("group_size", len(group)))
-        consulted_sets: List[Dict[int, Shard]] = []
+                      .set("group_size", len(group)) if fused else span)
+        consulted_sets: List[Set[int]] = []
         pruned_lists: List[List[Tuple[int, str]]] = []
-        for query in group_queries:
+        # shard index -> the members that consulted it (the leg's riders).
+        carried_by: Dict[int, List[int]] = {}
+        shard_of: Dict[int, Shard] = {}
+        for qi, query in enumerate(group_queries):
             consulted, pruned = self._scatter_set(query)
-            consulted_sets.append({shard.index: shard for shard in consulted})
+            self._m_pruned.inc(float(len(pruned)))
+            consulted_sets.append({shard.index for shard in consulted})
             pruned_lists.append(pruned)
-        involved = sorted({index for by_index in consulted_sets
-                           for index in by_index})
-        shard_of = {shard.index: shard
-                    for by_index in consulted_sets
-                    for shard in by_index.values()}
-        order = self._group_leg_order(group_queries,
-                                      [shard_of[index] for index in involved])
+            for shard in consulted:
+                shard_of[shard.index] = shard
+                carried_by.setdefault(shard.index, []).append(qi)
+        if span and not fused and pruned_lists[0]:
+            span.set("shards_pruned", tuple(pruned_lists[0]))
+        order = self._group_leg_order(group_queries, list(shard_of.values()))
 
         gathered: List[List[float]] = [[] for _ in group]
         skipped: List[List[Tuple[int, str]]] = [[] for _ in group]
-        executed: List[List[Tuple[Shard, QueryResult]]] = [[] for _ in group]
+        executed: List[List[Tuple[Shard, object]]] = [[] for _ in group]
         ledgers = ([_LegLedger() for _ in group] if ctx is not None
                    else None)
 
@@ -891,31 +850,29 @@ class ScatterGatherExecutor:
             return ([ledgers[qi] for qi in riders] if ledgers is not None
                     else ())
 
-        sequential = not self.parallel
-        if sequential:
+        if not self.parallel:
             for shard in order:
-                carried = [qi for qi in range(len(group_queries))
-                           if shard.index in consulted_sets[qi]]
-                if not carried:
-                    continue
+                carried = carried_by[shard.index]
                 self._check_deadline(ctx,
-                                     f"fused leg to shard {shard.index}")
+                                     f"scatter leg to shard {shard.index}")
                 leg = (group_span.child("shard.leg")
                        .set("shard", shard.index) if group_span
                        else NULL_SPAN)
                 riders = []
                 for qi in carried:
-                    reason = self._leg_skip_reason(shard, group_queries[qi],
-                                                   gathered[qi])
+                    query = group_queries[qi]
+                    reason = (self._leg_skip_reason(shard, query, gathered[qi])
+                              if isinstance(query, TopKQuery) else None)
                     if reason is not None:
                         skipped[qi].append((shard.index, reason))
                         self._m_legs_skipped.inc()
-                        if leg:
+                        if fused:
                             leg.set(f"skipped_q{qi}", reason)
                         continue
                     riders.append(qi)
                 if not riders:
-                    leg.set("skipped", "all riders").finish()
+                    leg.set("skipped", "all riders" if len(carried) > 1
+                            else skipped[carried[0]][-1][1]).finish()
                     continue
                 try:
                     leg_results = self._leg_execute_many(
@@ -927,17 +884,15 @@ class ScatterGatherExecutor:
                     continue
                 for qi, result in zip(riders, leg_results):
                     executed[qi].append((shard, result))
-                    self._fold_gathered(gathered[qi], result,
-                                        group_queries[qi].k)
+                    if isinstance(group_queries[qi], TopKQuery):
+                        self._fold_gathered(gathered[qi], result,
+                                            group_queries[qi].k)
         else:
-            legs = []
-            for shard in order:
-                riders = [qi for qi in range(len(group_queries))
-                          if shard.index in consulted_sets[qi]]
-                if riders:
-                    legs.append((shard, riders))
+            legs = [(shard, carried_by[shard.index]) for shard in order]
             if legs:
-                self._check_deadline(ctx, "fused scatter dispatch")
+                self._check_deadline(ctx, "scatter dispatch")
+                # Leg spans open when the legs are dispatched (their
+                # durations include pool queueing, which is real wait).
                 leg_spans = ([group_span.child("shard.leg")
                               .set("shard", shard.index)
                               for shard, _ in legs] if group_span
@@ -965,12 +920,12 @@ class ScatterGatherExecutor:
                         continue
                     for qi, result in zip(riders, leg_results):
                         executed[qi].append((shard, result))
-        group_span.finish()
+        if fused:
+            group_span.finish()
 
         gather_span = span.child("shard.gather")
-        group_size = float(len(group))
         merged_rows = 0
-        out: List[QueryResult] = []
+        out: List = []
         for qi, (i, query, key) in enumerate(group):
             if (ledgers is not None and ledgers[qi].failed
                     and not executed[qi]):
@@ -982,9 +937,12 @@ class ScatterGatherExecutor:
             legs_run = sorted(executed[qi], key=lambda pair: pair[0].index)
             consulted = [shard for shard, _ in legs_run]
             shard_results = [result for _, result in legs_run]
-            result = self._gather_topk(query, consulted, shard_results)
+            if isinstance(query, TopKQuery):
+                result = self._gather_topk(query, consulted, shard_results)
+            else:
+                result = self._gather_skyline(query, consulted, shard_results)
             merged_rows += len(result.tids)
-            self._m_tuples.inc(float(result.tuples_evaluated))
+            self._m_tuples.inc(float(getattr(result, "tuples_evaluated", 0)))
             result.elapsed_seconds = time.perf_counter() - start
             shard_backends = {
                 shard.index: str(res.extra.get("backend", "?"))
@@ -1002,19 +960,22 @@ class ScatterGatherExecutor:
                 f"pruned={result.extra['shards_pruned']} "
                 f"skipped={result.extra['shards_skipped']} "
                 f"backends={result.extra['shard_backends']}]")
-            result.extra["fused_group_size"] = group_size
+            result.extra["fused_group_size"] = float(len(group))
             result.extra["plans_reused"] = sum(
                 float(res.extra.get("plans_reused", 0.0))
                 for res in shard_results)
             result.extra["tuples_evaluated"] = sum(
                 float(res.extra.get("tuples_evaluated",
-                                    res.tuples_evaluated))
+                                    getattr(res, "tuples_evaluated", 0)))
                 for res in shard_results)
             self._apply_fault_extra(result, ctx,
                                     ledgers[qi] if ledgers else None,
                                     len(consulted_sets[qi]))
             if key is not None and (ledgers is None
                                     or not ledgers[qi].failed):
+                # A degraded result is exact only over the surviving
+                # shards; caching it would keep serving the gap after
+                # recovery.
                 self.result_cache.store(key, result)
             out.append(result)
         (gather_span.set("group_size", len(group))
@@ -1023,12 +984,13 @@ class ScatterGatherExecutor:
 
     def _group_leg_order(self, group_queries: List, shards: List[Shard],
                          ) -> List[Shard]:
-        """Cost order of a fused group's legs: most promising member first.
+        """Cost order of a group's legs: most promising member first.
 
         A leg's promise is its best promise for *any* member (lowest score
         floor, then fewest expected matches), so the leg that can tighten
         some member's k-th score fastest runs first; the shard index keeps
-        the order total and deterministic.
+        the order total and deterministic.  For a group of one this is the
+        query's own cost order.
         """
         def leg_key(shard: Shard):
             keys = [self.cost_model.scatter_key(query, shard.stats)
@@ -1043,15 +1005,15 @@ class ScatterGatherExecutor:
         """How ``shard`` would serve ``query`` — overridable leg routing.
 
         The base implementation consults the shard's in-process stack;
-        :class:`ProcessScatterExecutor` overrides this (and the two
-        ``_shard_execute*`` hooks below) to route heavy legs to worker
+        :class:`ProcessScatterExecutor` overrides this (and
+        :meth:`_shard_execute_many`) to route heavy legs to worker
         processes instead.
         """
         return self.manager.executor_for(shard).plan(query)
 
-    def _shard_execute(self, shard: Shard, query, leg,
-                       deadline=None) -> QueryResult:
-        """Run ``query`` on one shard's engine — overridable leg routing.
+    def _shard_execute_many(self, shard: Shard, leg_queries: List,
+                            leg, deadline=None) -> List:
+        """Run one leg: the shard's own ``execute_many`` over its riders.
 
         The ``parent_span`` keyword is only passed when the leg span is
         real — contextvars do not cross ``run_in_executor`` / pool
@@ -1063,42 +1025,12 @@ class ScatterGatherExecutor:
         """
         executor = self.manager.executor_for(shard)
         if leg:
-            return executor.execute(query, parent_span=leg)
-        return executor.execute(query)
-
-    def _shard_execute_many(self, shard: Shard, leg_queries: List,
-                            leg, deadline=None) -> List:
-        """Run one shard's fused ``execute_many`` — overridable leg routing."""
-        executor = self.manager.executor_for(shard)
-        if leg:
             return executor.execute_many(leg_queries, parent_span=leg)
         return executor.execute_many(leg_queries)
 
-    def _leg_execute(self, shard: Shard, query, leg, ctx=None,
-                     ledgers=()) -> QueryResult:
-        """Run one scatter leg (guarded) and record its span bookkeeping."""
-        deadline = ctx.deadline if ctx is not None else None
-        if deadline is None:
-            runner = lambda: self._shard_execute(shard, query, leg)
-        else:
-            runner = lambda: self._shard_execute(shard, query, leg,
-                                                 deadline=deadline)
-        try:
-            result = self._guarded(shard, runner, ctx, ledgers, leg)
-        except BaseException:
-            leg.finish()
-            raise
-        self._m_legs.inc()
-        if leg:
-            leg.set("backend", str(result.extra.get("backend", "?")))
-            leg.set("tuples_evaluated",
-                    float(getattr(result, "tuples_evaluated", 0)))
-        leg.finish()
-        return result
-
     def _leg_execute_many(self, shard: Shard, leg_queries: List, riders: List,
                           leg, ctx=None, ledgers=()) -> List:
-        """Run one fused-group leg (the shard's own ``execute_many``)."""
+        """Run one leg (guarded) and record its span bookkeeping."""
         if leg:
             leg.set("riders", tuple(riders))
         deadline = ctx.deadline if ctx is not None else None
@@ -1120,53 +1052,6 @@ class ScatterGatherExecutor:
         leg.finish()
         return leg_results
 
-    def _run_shards(self, consulted: List[Shard], query,
-                    span=NULL_SPAN, ctx=None, ledger=None,
-                    ) -> Tuple[List[Shard], List]:
-        """Surviving shards and their results, in ``consulted`` order.
-
-        The thread pool is created once on first parallel use and reused
-        for the executor's lifetime — per-query pool startup would dominate
-        small scattered queries.  Leg spans are opened on the calling
-        thread (the span list is lock-protected) and finished by whichever
-        thread runs the leg.  Without fault machinery the returned shard
-        list is exactly ``consulted``; under ``allow_partial`` a finally
-        failed leg drops its shard from the gather (booked in the
-        ledger) instead of raising.
-        """
-        ledgers = (ledger,) if ledger is not None else ()
-
-        def run(shard, leg):
-            try:
-                return self._leg_execute(shard, query, leg, ctx, ledgers)
-            except ShardWorkerError:
-                if ctx is None or not ctx.allow_partial:
-                    raise
-                return None
-
-        if self.parallel and len(consulted) > 1:
-            # Parallel legs: spans open when the legs are dispatched (their
-            # durations include pool queueing, which is real wait).
-            legs = ([span.child("shard.leg").set("shard", shard.index)
-                     for shard in consulted] if span
-                    else [NULL_SPAN] * len(consulted))
-            outputs = list(self.ensure_pool().map(
-                lambda pair: run(pair[0], pair[1]),
-                zip(consulted, legs)))
-        else:
-            outputs = []
-            for shard in consulted:
-                self._check_deadline(ctx,
-                                     f"scatter leg to shard {shard.index}")
-                leg = (span.child("shard.leg").set("shard", shard.index)
-                       if span else NULL_SPAN)
-                outputs.append(run(shard, leg))
-        survivors = [(shard, result)
-                     for shard, result in zip(consulted, outputs)
-                     if result is not None]
-        return ([shard for shard, _ in survivors],
-                [result for _, result in survivors])
-
     def _leg_skip_reason(self, shard: Shard, query: TopKQuery,
                          gathered: List[float]) -> Optional[str]:
         """Why ``shard`` can be skipped for ``query``, or ``None`` to run it.
@@ -1175,8 +1060,7 @@ class ScatterGatherExecutor:
         A shard whose ranking-range score floor *strictly* exceeds the
         gathered k-th score cannot contribute: every tuple it holds scores
         at least the floor, so none can enter the top-k or tie its
-        boundary.  Shared by the single-query bounded scatter and the
-        fused-group legs so both paths skip (and report) identically.
+        boundary.
         """
         if len(gathered) < query.k:
             return None
@@ -1194,56 +1078,6 @@ class ScatterGatherExecutor:
             gathered.extend(float(score) for score in result.scores)
             gathered.sort()
             del gathered[k:]
-
-    def _run_shards_bounded(self, ordered: List[Shard], query: TopKQuery,
-                            span=NULL_SPAN, ctx=None, ledger=None,
-                            ) -> Tuple[List[Shard], List[QueryResult],
-                                       Tuple[Tuple[int, str], ...]]:
-        """Cost-ordered sequential scatter with bound-based leg skipping.
-
-        ``ordered`` is the :meth:`_leg_order` of the surviving shards;
-        once k candidates are gathered, a
-        remaining shard whose ranking-range score floor *strictly* exceeds
-        the current k-th gathered score is skipped — every tuple it holds
-        scores at least the floor, so none can enter the top-k or tie its
-        boundary (a tie would need a score exactly equal to the k-th, which
-        a strictly larger floor rules out).  The k-th score only tightens
-        as more legs run, so a skip decided against an early bound stays
-        sound for the final answer: gathered results are bit-identical to
-        the exhaustive scatter.
-
-        Returns the executed shards (restored to index order, so gathering
-        and reporting are unchanged), their results, and the skipped legs
-        with reasons.
-        """
-        gathered: List[float] = []  # k smallest scores seen so far, sorted
-        executed: List[Tuple[Shard, QueryResult]] = []
-        skipped: List[Tuple[int, str]] = []
-        ledgers = (ledger,) if ledger is not None else ()
-        for shard in ordered:
-            self._check_deadline(ctx, f"scatter leg to shard {shard.index}")
-            reason = self._leg_skip_reason(shard, query, gathered)
-            if reason is not None:
-                skipped.append((shard.index, reason))
-                self._m_legs_skipped.inc()
-                if span:
-                    (span.child("shard.leg").set("shard", shard.index)
-                     .set("skipped", reason).finish())
-                continue
-            leg = (span.child("shard.leg").set("shard", shard.index)
-                   if span else NULL_SPAN)
-            try:
-                result = self._leg_execute(shard, query, leg, ctx, ledgers)
-            except ShardWorkerError:
-                if ctx is None or not ctx.allow_partial:
-                    raise
-                continue
-            executed.append((shard, result))
-            self._fold_gathered(gathered, result, query.k)
-        executed.sort(key=lambda pair: pair[0].index)
-        return ([shard for shard, _ in executed],
-                [result for _, result in executed],
-                tuple(skipped))
 
     # ------------------------------------------------------------------
     # gathering
@@ -1415,12 +1249,15 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
 
     The thread-pool scatter interleaves Python scoring on one core; this
     executor keeps the same prune/scatter/gather machinery (and the same
-    bit-identical answers) but routes each heavy leg to a long-lived
+    bit-identical answers) but routes each heavy leg — one shard
+    ``execute_many`` over the leg's riders, see
+    :meth:`_shard_execute_many` — to a long-lived
     :class:`~repro.shard.worker.ShardWorker` process:
 
     * workers spawn **lazily**, exactly like the manager's lazy in-process
-      stacks — the first offloaded leg to a shard pays the spawn, later
-      legs reuse the worker;
+      stacks — the first offloaded leg to a shard pays the spawn (awaited
+      under :data:`~repro.shard.worker.SPAWN_TIMEOUT`), later legs reuse
+      the worker;
     * the shard's relation data is copied **once** into
       ``multiprocessing.shared_memory`` at spawn; after that, legs send
       only pickled queries and gather only top-k tuples over a pipe;
@@ -1460,7 +1297,8 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
     ``"spawn"`` is safe with the serving layer's threads and ships the
     parent's ``sys.path`` so workers import this package uninstalled.
 
-    ``recv_timeout`` bounds every worker reply wait (default two
+    ``recv_timeout`` bounds every leg's reply wait — never the worker's
+    cold start, which has its own spawn bound (default two
     minutes — generous enough that no honest leg ever trips it, tight
     enough that a genuinely wedged worker always surfaces; ``None``
     restores the old unbounded wait).  A per-request deadline tightens
@@ -1567,19 +1405,6 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
         if deadline is None:
             return None  # the worker applies its own recv_timeout
         return deadline.bound(self.recv_timeout)
-
-    def _shard_execute(self, shard: Shard, query, leg,
-                       deadline=None) -> QueryResult:
-        if not self._offload([query]):
-            return super()._shard_execute(shard, query, leg,
-                                          deadline=deadline)
-        result, obs = self._worker_for(shard).request(
-            "execute", query, timeout=self._leg_timeout(deadline))
-        self._note_worker_obs(shard.index, obs)
-        self._m_proc_legs.inc()
-        if leg:
-            leg.set("worker", "process")
-        return result
 
     def _shard_execute_many(self, shard: Shard, leg_queries: List,
                             leg, deadline=None) -> List:

@@ -9,9 +9,11 @@ long-lived worker *process*:
   :mod:`multiprocessing.shared_memory`-backed numpy arrays — scatter legs
   send only pickled queries over a pipe and gather only top-k tuples,
   never the relation;
-* the worker builds its :class:`~repro.engine.Executor` lazily on the
-  first request, exactly like the manager's lazy in-process stacks — a
-  worker whose shard every query prunes never pays index construction;
+* the worker builds its :class:`~repro.engine.Executor` as soon as it
+  starts and then reports ``ready``; the parent awaits that handshake
+  under :data:`SPAWN_TIMEOUT` before its first request, so the cold start
+  never counts against a leg's reply bound.  Workers themselves spawn
+  lazily, on the first leg a shard's statistics do not prune;
 * every reply rides the worker-side observability back to the parent: the
   worker engine's :class:`~repro.obs.metrics.MetricsRegistry` state
   (raw histogram reservoirs, so merged percentiles pool correctly) and
@@ -22,8 +24,9 @@ in-flight request per pipe, serialized by :class:`ShardWorker`'s lock —
 and crash-safe: a killed worker surfaces as
 :class:`~repro.errors.ShardWorkerError` (the pipe reports end-of-file
 immediately), never as a hang.  A *wedged* worker (alive but not
-answering) is bounded too: ``recv_timeout`` caps every reply wait, and
-a worker that misses it is killed and reported with
+answering) is bounded too: ``recv_timeout`` caps every reply wait
+(:data:`SPAWN_TIMEOUT` the startup handshake), and a worker that misses
+it is killed and reported with
 ``ShardWorkerError.timed_out`` set — the scatter executor respawns it
 on the next leg.  :class:`ShardWorker.close` is deterministic: ask the
 worker to exit, escalate to ``terminate`` if it does not, and unlink
@@ -50,19 +53,23 @@ import numpy as np
 from repro.errors import ShardWorkerError
 from repro.storage.table import Relation, Schema
 
-#: Operations a worker understands.  ``execute``/``execute_many``/``plan``
-#: are the engine front-door surface; ``invalidate`` broadcasts the
-#: manager's cache invalidation (predicate-aware when a row is attached);
-#: ``ping`` checks liveness; ``hang`` naps (fault injection: a simulated
-#: wedge the bounded recv must catch); ``close`` asks the worker to exit
-#: its loop.
-_OPS = ("execute", "execute_many", "plan", "invalidate", "ping", "hang",
-        "close")
+#: Operations a worker understands.  ``execute_many`` (every scatter leg)
+#: and ``plan`` are the engine front-door surface; ``invalidate``
+#: broadcasts the manager's cache invalidation (predicate-aware when a row
+#: is attached); ``ping`` checks liveness; ``hang`` naps (fault injection:
+#: a simulated wedge the bounded recv must catch); ``close`` asks the
+#: worker to exit its loop.
+_OPS = ("execute_many", "plan", "invalidate", "ping", "hang", "close")
 
 #: Leg-shaped operations the fault injector may sabotage.  Lifecycle and
 #: invalidation traffic is never injected — chaos must not break the
 #: write path's correctness contract, only exercise leg recovery.
-_INJECTABLE_OPS = ("execute", "execute_many")
+_INJECTABLE_OPS = ("execute_many",)
+
+#: Seconds the parent waits for a fresh worker's ``ready`` handshake:
+#: interpreter start, imports and the engine-stack build.  Generous on
+#: purpose — it only has to catch a worker that never comes up.
+SPAWN_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -84,9 +91,11 @@ class WorkerSpec:
 
 
 def shard_worker_main(conn, spec: WorkerSpec) -> None:
-    """Worker-process entry point: attach the shard, serve the pipe.
+    """Worker-process entry point: attach the shard, build, serve the pipe.
 
-    Runs until the parent sends ``close`` or its end of the pipe
+    Builds the shard's engine stack, answers ``("ready", None, None)``
+    (or ``("error", exc, None)`` and exits when the build fails), then
+    runs until the parent sends ``close`` or its end of the pipe
     disappears (parent exit), then detaches from the shared memory.  Any
     exception an operation raises is shipped back as a reply — the worker
     itself stays up, mirroring how an in-process engine survives a failed
@@ -111,6 +120,13 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
                         name=spec.relation_name)
     executor: Optional[Executor] = None
     try:
+        try:
+            executor = Executor.for_relation(relation,
+                                             **dict(spec.executor_kwargs))
+        except Exception as exc:
+            _send_error(conn, exc)
+            return
+        conn.send(("ready", None, None))
         while True:
             try:
                 op, payload = conn.recv()
@@ -121,8 +137,7 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
                 break
             try:
                 if op == "invalidate":
-                    if executor is not None:
-                        executor.invalidate_results(row=payload)
+                    executor.invalidate_results(row=payload)
                     out = None
                 elif op == "ping":
                     out = relation.num_tuples
@@ -132,26 +147,15 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
                     # recv (not a cooperative error reply) can surface it.
                     time.sleep(float(payload))
                     out = None
-                elif op in ("execute", "execute_many", "plan"):
-                    if executor is None:
-                        executor = Executor.for_relation(
-                            relation, **dict(spec.executor_kwargs))
+                elif op in ("execute_many", "plan"):
                     out = getattr(executor, op)(payload)
                 else:
                     raise ShardWorkerError(f"unknown worker op {op!r}")
-                stats = None
-                if executor is not None:
-                    stats = (executor.metrics.state(),
-                             dict(executor.cache_stats()))
+                stats = (executor.metrics.state(),
+                         dict(executor.cache_stats()))
                 conn.send(("ok", out, stats))
             except Exception as exc:  # ship the failure, stay alive
-                try:
-                    pickle.dumps(exc)
-                    conn.send(("error", exc, None))
-                except Exception:
-                    conn.send(("error",
-                               ShardWorkerError(
-                                   f"{type(exc).__name__}: {exc}"), None))
+                _send_error(conn, exc)
     finally:
         # Drop the arrays' buffer views before detaching, otherwise
         # SharedMemory.close() raises about exported memoryview pointers.
@@ -164,16 +168,28 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
             pass
 
 
+def _send_error(conn, exc: Exception) -> None:
+    """Ship ``exc`` to the parent, as a plain error if it cannot pickle."""
+    try:
+        pickle.dumps(exc)
+        conn.send(("error", exc, None))
+    except Exception:
+        conn.send(("error",
+                   ShardWorkerError(f"{type(exc).__name__}: {exc}"), None))
+
+
 class ShardWorker:
     """Parent-side handle of one shard's worker process.
 
     Spawning copies the shard's matrices into two fresh shared-memory
     blocks (this is the *only* time relation data crosses the process
     boundary) and starts the worker on the configured multiprocessing
-    context.  :meth:`request` is the synchronous RPC surface; it returns
-    ``(result, observability)`` where observability is the worker's
-    ``(metrics state, cache stats)`` pair or ``None`` before the worker
-    engine exists.
+    context without waiting for it: the first :meth:`request` awaits the
+    worker's ``ready`` handshake (bounded by :data:`SPAWN_TIMEOUT`), so
+    workers of different shards start up concurrently.  :meth:`request`
+    is the synchronous RPC surface; it returns ``(result,
+    observability)`` where observability is the worker's ``(metrics
+    state, cache stats)`` pair (``None`` for lifecycle replies).
 
     ``relation_id``/``num_rows`` snapshot the shard the worker was built
     over; :class:`~repro.shard.scatter.ProcessScatterExecutor` compares
@@ -181,9 +197,9 @@ class ShardWorker:
     broadcast (data unchanged) and a teardown (the shard grew or was
     replaced — the worker's shared-memory copy is stale).
 
-    ``recv_timeout`` bounds every reply wait (per-request ``timeout``
-    overrides it, e.g. from a request deadline): a worker that misses
-    the bound is killed and reported with a ``timed_out`` error, so a
+    ``recv_timeout`` bounds every reply wait after the handshake
+    (per-request ``timeout`` overrides it, e.g. from a request
+    deadline): a worker that misses the bound is killed and reported with a ``timed_out`` error, so a
     wedged worker can never stall the parent indefinitely.  ``injector``
     attaches deterministic chaos to leg requests only.
     """
@@ -202,6 +218,7 @@ class ShardWorker:
         self.num_rows = int(relation.num_tuples)
         self._lock = threading.Lock()
         self._alive = False
+        self._ready = False
         selection = np.ascontiguousarray(relation.selection_matrix(),
                                          dtype=np.int64)
         ranking = np.ascontiguousarray(relation.ranking_matrix(),
@@ -273,6 +290,8 @@ class ShardWorker:
                     f"shard {self.index} worker is closed",
                     shard_index=self.index)
             try:
+                if not self._ready:
+                    self._await_ready()
                 if crash_pre:
                     # The worker dies before serving the leg; the send
                     # may still land in the pipe buffer, but the recv
@@ -322,6 +341,20 @@ class ShardWorker:
                 raise out
             raise ShardWorkerError(str(out), shard_index=self.index)
         return out, stats
+
+    def _await_ready(self) -> None:
+        """Consume the worker's startup handshake (lock held).
+
+        A worker whose engine build failed ships the exception instead of
+        ``ready`` and exits; it is torn down and the failure re-raised.
+        """
+        status, out, _ = self._recv_bounded(SPAWN_TIMEOUT, "spawn")
+        if status != "ready":
+            self._teardown(terminate=True)
+            if isinstance(out, Exception):
+                raise out
+            raise ShardWorkerError(str(out), shard_index=self.index)
+        self._ready = True
 
     def _recv_bounded(self, timeout: Optional[float], op: str):
         """Receive one reply, killing a worker that misses the bound.

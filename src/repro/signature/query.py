@@ -45,96 +45,41 @@ class SignatureTopKExecutor:
         self.rtree = cube.rtree
 
     def query(self, query: TopKQuery) -> QueryResult:
-        """Execute Algorithm 3: ranking pruning + signature boolean pruning."""
-        query.validate(self.relation)
-        start = time.perf_counter()
-        rtree_io_before = self.rtree.pager.stats.physical_reads
-        sig_io_before = self.cube.store.pager.stats.physical_reads
+        """Execute Algorithm 3: ranking pruning + signature boolean pruning.
 
-        function = query.function
-        dims = self.rtree.dims
-        dim_positions = [dims.index(d) for d in function.dims]
-        reader = self.cube.signature_reader(query.predicate)
-
-        topk = TopKAccumulator(query.k)
-        states = 0
-        peak_heap = 0
-        counter = 0
-
-        root = self.rtree.root()
-        if reader is not None and not reader.test(()):
-            elapsed = time.perf_counter() - start
-            return QueryResult(tids=(), scores=(), elapsed_seconds=elapsed)
-
-        heap: List[Tuple[float, int, object]] = [
-            (function.lower_bound(root.box), counter, root)]
-        while heap:
-            peak_heap = max(peak_heap, len(heap))
-            bound, _, node = heapq.heappop(heap)
-            # Strict halt/skip (here and below): a node whose bound equals
-            # the k-th score may hold a tied tuple with a smaller tid, which
-            # the canonical (score, tid) order must admit.
-            if topk.is_full() and topk.kth_score < bound:
-                break
-            states += 1
-            if node.is_leaf:
-                for entry in self.rtree.leaf_entries(node):
-                    entry_path = node.path + (entry.position,)
-                    if reader is not None and not reader.test(entry_path):
-                        continue
-                    score = function.evaluate([entry.values[i] for i in dim_positions])
-                    topk.offer(entry.tid, score)
-            else:
-                for child in self.rtree.children(node):
-                    if reader is not None and not reader.test(child.path):
-                        continue
-                    child_bound = function.lower_bound(child.box)
-                    if topk.is_full() and child_bound > topk.kth_score:
-                        continue
-                    counter += 1
-                    heapq.heappush(heap, (child_bound, counter, child))
-
-        rtree_io = self.rtree.pager.stats.physical_reads - rtree_io_before
-        sig_io = self.cube.store.pager.stats.physical_reads - sig_io_before
-        elapsed = time.perf_counter() - start
-        ranked = topk.ranked()
-        return QueryResult(
-            tids=tuple(tid for tid, _ in ranked),
-            scores=tuple(score for _, score in ranked),
-            disk_accesses=rtree_io + sig_io,
-            states_generated=states,
-            peak_heap_size=peak_heap,
-            tuples_evaluated=states,
-            elapsed_seconds=elapsed,
-            extra={"rtree_accesses": float(rtree_io),
-                   "signature_accesses": float(sig_io)},
-        )
+        A traversal of one (see :meth:`query_batch`).
+        """
+        return self.query_batch([query])[0]
 
     def query_batch(self, queries) -> List[QueryResult]:
-        """One root-to-leaf traversal serving a same-function query group.
+        """Algorithm 3 for a same-function query group; a query is a group of one.
 
         Every query must rank by the same function (by value); predicates
-        and ``k`` differ freely.  A single best-first heap drives the
-        traversal; each heap entry carries the set of queries for which the
-        node is *reachable* (every ancestor passed that query's signature
-        test and could still beat its k-th score).  A node is expanded once
-        for the whole group, its child bounds and leaf-entry scores are
-        computed once, and each query consumes only the entries its own
-        signatures admit.
+        and ``k`` differ freely.  A single best-first heap over the R-tree,
+        ordered by the function's lower bounds, drives the traversal; each
+        heap entry carries the set of queries for which the node is
+        *reachable* (every ancestor passed that query's signature test and
+        could still beat its k-th score).  A node is expanded once for the
+        whole group, its child bounds and leaf-entry scores are computed
+        once, and each query consumes only the entries its own signatures
+        admit.  A query retires once the heap minimum strictly exceeds its
+        k-th score (a node whose bound ties it may hold a tied tuple with a
+        smaller tid, which the canonical ``(score, tid)`` order must admit).
 
-        Bit-identical to the per-query loop: leaf-entry signature bits are
-        exact, so every entry fed to a query is a true match, and the
+        Bit-identical to traversing per query: leaf-entry signature bits
+        are exact, so every entry fed to a query is a true match, and the
         per-query pruning rules (signature test, strict k-th-score bound)
         only ever drop nodes whose subtree provably cannot contribute — a
-        query's fed set is therefore a superset of its solo run's that
-        still contains only matches, which yields the same canonical
+        query's fed set is therefore a superset of its own traversal's
+        that still contains only matches, which yields the same canonical
         ``(score, tid)`` top-k.
 
-        Accounting mirrors the grid sweep: ``tuples_evaluated`` (= nodes,
-        as in :meth:`query`) is the attributed share of the shared
-        traversal, the solo-equivalent count lands in
-        ``extra["tuples_evaluated"]``, and the traversal's disk accesses
-        are attributed to the first result.
+        Accounting mirrors the grid sweep: ``tuples_evaluated`` (= nodes
+        expanded) is the attributed share of the shared traversal, the
+        query's own count lands in ``extra["tuples_evaluated"]``, and the
+        traversal's disk accesses are attributed to the first result.  A
+        query whose signatures rule out the root gets an empty answer with
+        zero counters.
         """
         queries = list(queries)
         if not queries:
@@ -163,12 +108,14 @@ class SignatureTopKExecutor:
                 initial.append(index)
                 live += 1
 
+        if not initial:
+            elapsed = time.perf_counter() - start
+            return [QueryResult(tids=(), scores=(), elapsed_seconds=elapsed)
+                    for _ in states]
         counter = 0
         peak_heap = 0
-        heap: List[Tuple[float, int, object, Tuple[int, ...]]] = []
-        if initial:
-            heap.append((function.lower_bound(root.box), counter, root,
-                         tuple(initial)))
+        heap: List[Tuple[float, int, object, Tuple[int, ...]]] = [
+            (function.lower_bound(root.box), counter, root, tuple(initial))]
         while heap:
             peak_heap = max(peak_heap, len(heap))
             bound = heap[0][0]

@@ -297,17 +297,17 @@ def surviving_oracle(relation, query, surviving_tids):
 
 def fail_shard(engine, bad_index, error=None):
     """Make every leg to one shard raise, leaving the others honest."""
-    original = engine._shard_execute
+    original = engine._shard_execute_many
 
-    def failing(shard, query, leg, deadline=None):
+    def failing(shard, leg_queries, leg, deadline=None):
         if shard.index == bad_index:
             raise (error if error is not None
                    else ShardWorkerError(f"shard {shard.index} worker "
                                          f"process died (exit code -9)",
                                          shard_index=shard.index))
-        return original(shard, query, leg, deadline=deadline)
+        return original(shard, leg_queries, leg, deadline=deadline)
 
-    engine._shard_execute = failing
+    engine._shard_execute_many = failing
 
 
 class TestRetries:
@@ -410,7 +410,7 @@ class TestPartialResults:
             assert degraded.extra["degraded"] == 1.0
             # The shard recovers; the next call must recompute, not serve
             # the gap from the result cache.
-            engine._shard_execute = ScatterGatherExecutor._shard_execute.__get__(engine)
+            engine._shard_execute_many = ScatterGatherExecutor._shard_execute_many.__get__(engine)
             healed = engine.execute(query)
             assert "degraded" not in healed.extra
             assert healed.tids == brute_force_topk(relation, query)[0]
@@ -473,7 +473,7 @@ class TestBreakerIntegration:
         with engine:
             engine.execute(topk(k=2))  # trips shard 0's breaker
             # The shard heals while the breaker cools down.
-            engine._shard_execute = ScatterGatherExecutor._shard_execute.__get__(engine)
+            engine._shard_execute_many = ScatterGatherExecutor._shard_execute_many.__get__(engine)
             clock.advance(30.0)
             query = topk(k=5, A1=2)
             result = engine.execute(query)  # the half-open probe succeeds

@@ -203,6 +203,45 @@ def test_topk_oracle_parity(universe, spec_index):
 
 
 @pytest.mark.parametrize("spec_index", range(len(SPECS)))
+def test_streamed_ranking_cube_oracle_parity(universe, spec_index):
+    """Streaming through the frontier sweep keeps oracle parity.
+
+    Every top-k case the grid ranking cube supports runs through
+    ``Executor.execute(..., on_progress=...)`` on a statically planned
+    engine (so the cube's sweep serves it; small blocks give the sweep
+    many frontier states to stream from) with the result cache bypassed
+    (a cache hit would stream nothing).  The emitted prefixes must start
+    where the previous one ended and concatenate to the final answer's
+    leading ranks, and the final answer must equal the oracle.
+    """
+    relation, _, _, queries = universe[spec_index]
+    engine = Executor.for_relation(relation, block_size=16,
+                                   with_signature=False, with_skyline=False,
+                                   planner_mode="static")
+    cube = engine.registry.get("ranking-cube")
+    streamed = 0
+    for query in queries:
+        if not isinstance(query, TopKQuery) or not cube.supports(query):
+            continue
+        emitted = []
+
+        def on_progress(start, pairs):
+            assert start == len(emitted)
+            emitted.extend(pairs)
+
+        result = engine.execute(query, use_result_cache=False,
+                                on_progress=on_progress)
+        assert result.extra["backend"] == "ranking-cube"
+        final = list(zip(result.tids, result.scores))
+        assert emitted == final[:len(emitted)], query
+        oracle_tids, oracle_scores = brute_force_topk(relation, query)
+        assert result.tids == oracle_tids
+        assert result.scores == oracle_scores
+        streamed += len(emitted)
+    assert streamed > 0
+
+
+@pytest.mark.parametrize("spec_index", range(len(SPECS)))
 def test_skyline_oracle_parity(universe, spec_index):
     relation, engine, sharded, queries = universe[spec_index]
     for query in queries:

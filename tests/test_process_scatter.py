@@ -259,6 +259,22 @@ class TestFaultContainment:
             assert engine._workers[0] is not worker
             assert engine._workers[0].alive
 
+    def test_recv_timeout_does_not_bound_the_cold_start(self, relation):
+        """A fresh worker's interpreter start and engine build (about a
+        second) happen before its ``ready`` handshake, under the spawn
+        bound — so a leg bound far below the cold-start cost still gets
+        the first query answered.
+        """
+        from tests.conftest import brute_force_topk
+
+        manager, engine = make_process_engine(relation, recv_timeout=0.05)
+        with engine:
+            query = topk(k=6)
+            result = engine.execute(query)
+            assert result.extra["scatter_mode"] == "processes"
+            assert (result.tids, result.scores) == brute_force_topk(
+                relation, query)
+
     def test_genuine_worker_death_is_not_flagged_timed_out(self, relation):
         manager, engine = make_process_engine(relation)
         with engine:
